@@ -7,17 +7,21 @@ Delaunay refinement lives and dies by the correctness of two predicates:
   the (counterclockwise) triangle *abc*.
 
 We use the standard two-stage scheme popularized by Shewchuk's Triangle:
-evaluate the determinant in floating point with a forward error bound; if
-the magnitude clears the bound the sign is certain, otherwise fall back to
-exact rational arithmetic (:class:`fractions.Fraction`).  The float filter
-handles virtually all calls; the exact path makes the mesher immune to the
-near-degenerate configurations that refinement constantly produces
-(cocircular points from structured inputs, collinear split points, ...).
+a float filter, then exact integer arithmetic over a common power-of-two
+scale.  The determinant is first evaluated in floating point with a
+forward error bound; if the magnitude clears the bound the sign is
+certain.  Otherwise the exact path runs: every finite float is
+``n / 2**k``, so ``as_integer_ratio`` gives exact integers, and scaling
+all inputs of one call by their largest denominator turns the same
+determinant into Python ``int`` arithmetic (a positive common factor does
+not change its sign).  The float filter handles virtually all calls; the
+exact path makes the mesher immune to the near-degenerate configurations
+that refinement constantly produces (cocircular points from structured
+inputs, collinear split points, ...).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Tuple
 
 __all__ = [
@@ -71,17 +75,28 @@ def orient2d(a: Point, b: Point, c: Point) -> float:
     return float(orient2d_exact(a, b, c))
 
 
+def _scaled(*coords: float) -> tuple[list[int], int]:
+    """Exact integers ``n_i`` and one scale ``s`` with ``coords[i] == n_i / s``.
+
+    ``s`` is the largest denominator of the inputs; float denominators are
+    powers of two, so it is a multiple of every other one.  Conversion runs
+    in argument order: non-finite input raises what ``as_integer_ratio``
+    raises (``OverflowError`` for ±inf, ``ValueError`` for NaN), for the
+    first bad coordinate.
+    """
+    ratios = [x.as_integer_ratio() for x in coords]
+    scale = max([d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def _sign(value: int) -> int:
+    return (value > 0) - (value < 0)
+
+
 def orient2d_exact(a: Point, b: Point, c: Point) -> int:
-    """Exact orientation sign via rational arithmetic: -1, 0, or +1."""
-    ax, ay = Fraction(a[0]), Fraction(a[1])
-    bx, by = Fraction(b[0]), Fraction(b[1])
-    cx, cy = Fraction(c[0]), Fraction(c[1])
-    det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    """Exact orientation sign via integer arithmetic: -1, 0, or +1."""
+    (ax, ay, bx, by, cx, cy), _ = _scaled(a[0], a[1], b[0], b[1], c[0], c[1])
+    return _sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx))
 
 
 def incircle(a: Point, b: Point, c: Point, d: Point) -> float:
@@ -127,20 +142,20 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> float:
 
 
 def incircle_exact(a: Point, b: Point, c: Point, d: Point) -> int:
-    """Exact incircle sign via rational arithmetic: -1, 0, or +1."""
-    ax, ay = Fraction(a[0]) - Fraction(d[0]), Fraction(a[1]) - Fraction(d[1])
-    bx, by = Fraction(b[0]) - Fraction(d[0]), Fraction(b[1]) - Fraction(d[1])
-    cx, cy = Fraction(c[0]) - Fraction(d[0]), Fraction(c[1]) - Fraction(d[1])
-    det = (
+    """Exact incircle sign via integer arithmetic: -1, 0, or +1."""
+    # Conversion order a, d, then b and c: the first coordinate the
+    # determinant reads decides which non-finite input raises first.
+    (ax, dx, ay, dy, bx, by, cx, cy), _ = _scaled(
+        a[0], d[0], a[1], d[1], b[0], b[1], c[0], c[1]
+    )
+    ax, ay = ax - dx, ay - dy
+    bx, by = bx - dx, by - dy
+    cx, cy = cx - dx, cy - dy
+    return _sign(
         (ax * ax + ay * ay) * (bx * cy - cx * by)
         + (bx * bx + by * by) * (cx * ay - ax * cy)
         + (cx * cx + cy * cy) * (ax * by - bx * ay)
     )
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
 
 
 def circumcenter(a: Point, b: Point, c: Point) -> Point:
@@ -149,7 +164,7 @@ def circumcenter(a: Point, b: Point, c: Point) -> Point:
     Raises :class:`ZeroDivisionError` for collinear input — callers check
     orientation first.  When the float cross product underflows to zero on
     a triangle that is *exactly* non-degenerate (tiny coordinates), the
-    computation falls back to rational arithmetic; coordinates too large
+    computation falls back to exact integer arithmetic; coordinates too large
     for a float come back as ±inf, which callers already guard with
     ``isfinite`` (see :func:`dist_sq`).
     """
@@ -164,23 +179,35 @@ def circumcenter(a: Point, b: Point, c: Point) -> Point:
 
 
 def _circumcenter_exact(a: Point, b: Point, c: Point) -> Point:
-    """Rational-arithmetic circumcenter; ZeroDivisionError when collinear."""
-    ax, ay = Fraction(a[0]) - Fraction(c[0]), Fraction(a[1]) - Fraction(c[1])
-    bx, by = Fraction(b[0]) - Fraction(c[0]), Fraction(b[1]) - Fraction(c[1])
+    """Exact circumcenter, correctly rounded; ZeroDivisionError when collinear.
+
+    With every coordinate scaled to ``n / s``, the center is
+    ``c + N / d`` for integer ``N`` and ``d``, i.e. ``(c_n * d + N) /
+    (s * d)``: one int/int division, which CPython rounds correctly.
+    """
+    (ax, cx, ay, cy, bx, by), scale = _scaled(
+        a[0], c[0], a[1], c[1], b[0], b[1]
+    )
+    ax, ay = ax - cx, ay - cy
+    bx, by = bx - cx, by - cy
     d = 2 * (ax * by - ay * bx)  # exact: zero iff truly collinear
     a2 = ax * ax + ay * ay
     b2 = bx * bx + by * by
-    ux = Fraction(c[0]) + (a2 * by - b2 * ay) / d
-    uy = Fraction(c[1]) + (b2 * ax - a2 * bx) / d
-    return (_clamp_float(ux), _clamp_float(uy))
+    if d < 0:
+        # A positive denominator keeps a zero numerator at +0.0.
+        d, a2, b2 = -d, -a2, -b2
+    den = scale * d
+    ux = _ratio_to_float(cx * d + a2 * by - b2 * ay, den)
+    uy = _ratio_to_float(cy * d + b2 * ax - a2 * bx, den)
+    return (ux, uy)
 
 
-def _clamp_float(value: Fraction) -> float:
-    """Fraction -> float, saturating to ±inf instead of OverflowError."""
+def _ratio_to_float(num: int, den: int) -> float:
+    """``num / den`` for ``den > 0``, saturating to ±inf on overflow."""
     try:
-        return float(value)
+        return num / den
     except OverflowError:
-        return float("inf") if value > 0 else float("-inf")
+        return float("inf") if num > 0 else float("-inf")
 
 
 def circumradius_sq(a: Point, b: Point, c: Point) -> float:

@@ -364,20 +364,31 @@ class Triangulation:
             self._insert_subsegment(a, b)
 
     def _vertices_on_segment(self, u: int, v: int) -> list[int]:
-        """Existing vertices lying strictly inside segment (u, v), ordered."""
+        """Existing vertices lying strictly inside segment (u, v), ordered.
+
+        A vertex inside the segment lies inside its closed bounding box.
+        That comparison is exact in floats, so it rejects nearly every
+        vertex before the orientation test.  Only vertices of live
+        triangles count; the rare hit is checked against them, instead of
+        walking every triangle for every segment.
+        """
         pu, pv = self.points[u], self.points[v]
+        xmin, xmax = min(pu[0], pv[0]), max(pu[0], pv[0])
+        ymin, ymax = min(pu[1], pv[1]), max(pu[1], pv[1])
         hits: list[tuple[float, int]] = []
-        seen: set[int] = set()
-        for tid in self.alive_triangles():
-            for w in self._tri_v[tid]:
-                if w in (u, v) or w in seen:
-                    continue
-                seen.add(w)
-                pw = self.points[w]
-                if orient2d(pu, pv, pw) == 0:
-                    t = self._param_on_segment(pu, pv, pw)
-                    if 0.0 < t < 1.0:
-                        hits.append((t, w))
+        for w, pw in enumerate(self.points):
+            if not (xmin <= pw[0] <= xmax and ymin <= pw[1] <= ymax):
+                continue
+            if w == u or w == v or orient2d(pu, pv, pw) != 0:
+                continue
+            t = self._param_on_segment(pu, pv, pw)
+            if 0.0 < t < 1.0:
+                hits.append((t, w))
+        if hits:
+            live = {
+                w for tid in self.alive_triangles() for w in self._tri_v[tid]
+            }
+            hits = [hit for hit in hits if hit[1] in live]
         hits.sort()
         return [w for _, w in hits]
 

@@ -108,8 +108,11 @@ class PatchResult:
     # but belong to another region — the caller dirties their owner.
     foreign_splits: list[Point] = field(default_factory=list)
     clean: bool = True          # no *owned* bad triangles remain unresolved
-    deferred: int = 0           # bad triangles owned by someone else (info)
-    triangles_seen: int = 0
+    # Informational only.  A patch_refine call judges each distinct
+    # triangle (tid + vertex triple) once, not once per rescan; only the
+    # triangle it picked to refine is judged again if it survives.
+    deferred: int = 0           # bad triangles owned by someone else
+    triangles_seen: int = 0     # in-domain triangles judged
 
 
 def _in_box(box: BoundingBox, p: Point) -> bool:
@@ -170,11 +173,19 @@ def patch_refine(
     min_length_sq = min_length * min_length
 
     skipped: set[Point] = set()
+    # Triangles already judged not to be owned bad ones, by vertex triple.
+    # Every reason for rejecting a triangle is a function of its three
+    # vertices (or of ``skipped``, which only grows), so it holds while
+    # the triangle lives; a tid reused for new vertices is judged again.
+    rejected: dict[int, tuple[int, int, int]] = {}
 
     def owned_bad_triangle() -> Optional[tuple[int, Point]]:
         """Find a bad in-domain triangle whose circumcenter we own."""
         for tid in tri.alive_triangles():
             verts = tri.triangle_vertices(tid)
+            if rejected.get(tid) == verts:
+                continue
+            rejected[tid] = verts
             if any(tri.is_super_vertex(v) for v in verts):
                 continue
             a, b, c = (tri.vertex(v) for v in verts)
@@ -199,6 +210,7 @@ def patch_refine(
             if not owned(cc):
                 result.deferred += 1
                 continue
+            del rejected[tid]
             return tid, cc
         return None
 

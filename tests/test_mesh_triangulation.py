@@ -109,6 +109,35 @@ def test_segment_through_existing_vertex_splits():
     assert not tri.is_constrained(a, b)
 
 
+def test_vertices_on_segment_excludes_endpoints_and_beyond():
+    """Only vertices strictly inside the segment count, in order along it.
+
+    Every point here lies exactly on the line y = 2x (doubling is exact),
+    so the orientation test alone cannot tell a vertex one ulp past an
+    endpoint from one inside the segment.
+    """
+    def on_line(x):
+        return (x, 2.0 * x)
+
+    pu, pv = on_line(0.25), on_line(0.375)
+    inside = [on_line(0.3125), on_line(0.28125), on_line(0.34375)]
+    beyond = [
+        on_line(math.nextafter(0.375, 1.0)),    # one ulp past pv
+        on_line(math.nextafter(0.25, 0.0)),     # one ulp before pu
+        on_line(0.5),
+        on_line(0.125),
+    ]
+    off_line = [(0.3125, 0.6), (0.3, 0.7)]      # inside the bbox, not on it
+    tri = _fresh([pu, pv] + inside + beyond + off_line)
+    u, v = tri.find_vertex(pu), tri.find_vertex(pv)
+    # A duplicate of an endpoint is the endpoint itself, never a hit.
+    assert tri.insert_point(pv) == v
+
+    expected = [tri.find_vertex(p) for p in sorted(inside)]
+    assert tri._vertices_on_segment(u, v) == expected
+    assert tri._vertices_on_segment(v, u) == expected[::-1]
+
+
 def test_degenerate_segment_rejected():
     tri = _fresh([(0.5, 0.5)])
     with pytest.raises(ValueError):
