@@ -95,10 +95,12 @@ class MRTSConfig:
       ready work from the most backlogged node onto an idle one,
       preferring victim-resident objects near the thief's own pack-file
       locality keys so a steal never triggers a load storm.
-    * ``steal_interval_s`` — virtual seconds between a thief's idle
-      checks; ``steal_min_victim_queue`` — a victim must have at least
-      this many ready objects before it can be robbed (leaves it enough
-      work to stay busy).
+    * ``steal_interval_s`` — grid spacing (virtual seconds) of a
+      thief's checks while it could steal; a thief parks while its node
+      is busy or no peer has ``steal_min_victim_queue`` ready objects.
+      ``steal_min_victim_queue`` — a victim must have at least this many
+      ready objects before it can be robbed (leaves it enough work to
+      stay busy).
     * ``elastic_balance`` — attach an
       :class:`~repro.core.balancer.ElasticBalancer` that consumes queue
       depth and residency signals live off the obs bus and migrates

@@ -130,9 +130,12 @@ class ReadyQueue:
         """Member oids in FIFO arrival order (read-only view).
 
         Public replacement for reaching into queue internals — the
-        prefetcher uses it to see what is coming up.
+        prefetcher uses it to see what is coming up.  ``_entries`` gains
+        a key only in :meth:`push`, as ``_seq`` advances, and loses it
+        only in :meth:`pop`, so its insertion order already is the seq
+        order.
         """
-        return sorted(self._entries, key=lambda oid: self._entries[oid][0])
+        return list(self._entries)
 
     # Min-heap key: negate the oracle's max-key components so that the
     # heap minimum is the scan maximum; seq ascending breaks ties the

@@ -65,7 +65,7 @@ from repro.core.storage import (
     build_storage_stack,
 )
 from repro.sim.cluster import ClusterSpec, SimCluster
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Ticker
 from repro.sim.node import NodeSpec
 from repro.sim.resources import Store
 from repro.util.errors import (
@@ -583,6 +583,10 @@ class MRTS:
         }
         self._running = False
         self._started = False
+        # Work stealing: rank -> the ticker that node's thief is parked on
+        # while it cannot steal (see _thief).  Empty when stealing is off,
+        # which makes every wake-up hook a no-op.
+        self._parked: dict[int, Ticker] = {}
         for rank in range(cluster.n_nodes):
             self.cluster.network.attach_sink(rank, self._make_sink(rank))
 
@@ -1355,6 +1359,7 @@ class MRTS:
         nrt.ooc.set_queue_length(oid, len(rec.queue))
         msg.target.queued_messages = len(rec.queue)
         nrt.ready.push(oid)
+        self._note_ready(nrt)
         nrt.tokens.put(oid)
         if self.bus.active:
             self.bus.publish(QueueDepthEvent(
@@ -1618,6 +1623,7 @@ class MRTS:
             dst_nrt.queued_msgs += len(queue)
             dst_nrt.ooc.set_queue_length(oid, len(queue))
             dst_nrt.ready.push(oid)
+            self._note_ready(dst_nrt)
             for _ in range(len(queue)):
                 dst_nrt.tokens.put(oid)
 
@@ -1674,6 +1680,7 @@ class MRTS:
                     # Evicted between messages: hand the rest back to the
                     # scheduler rather than thrash.
                     nrt.ready.push(oid)
+                    self._note_ready(nrt)
                     break
                 msg = rec.queue.pop()
                 nrt.queued_msgs -= 1
@@ -1709,6 +1716,8 @@ class MRTS:
             and nrt.queued_msgs == 0
         ):
             nrt.idle_since = self.engine.now
+        if nrt.rank in self._parked:
+            self._wake_thief(nrt)
 
     # ------------------------------------------------------- work stealing
     def _thief(self, nrt: _NodeRuntime):
@@ -1720,10 +1729,22 @@ class MRTS:
         exactly those of any other move.  The same
         :func:`~repro.core.computing.select_victim` rule drives the
         intra-node executor policy; this is its inter-node twin.
+
+        The thief checks on a grid: every ``steal_interval_s`` from its
+        start or from the end of its last steal.  While it cannot steal
+        (its node is busy, or no peer has ``steal_min_victim_queue``
+        ready objects) it parks on a :class:`~repro.sim.engine.Ticker`,
+        the same chain of timeouts kept virtual, instead of waking on
+        each grid point; :meth:`_wake_thief` schedules it once it could.
         """
         cfg = self.config
         while True:
-            yield self.engine.timeout(cfg.steal_interval_s)
+            if self._can_steal(nrt):
+                yield self.engine.timeout(cfg.steal_interval_s)
+            else:
+                park = self.engine.ticker(cfg.steal_interval_s)
+                self._parked[nrt.rank] = park
+                yield park
             if nrt.active_handlers > 0 or nrt.queued_msgs > 0:
                 continue
             backlogs = [0 if n is nrt else len(n.ready) for n in self.nodes]
@@ -1739,6 +1760,31 @@ class MRTS:
             self.termination.add(1)
             yield from self._migrate_and_done(oid, victim_rank, nrt.rank)
 
+    def _can_steal(self, nrt: _NodeRuntime) -> bool:
+        """Idle node and a peer with enough ready objects to rob."""
+        if nrt.active_handlers > 0 or nrt.queued_msgs > 0:
+            return False
+        least = self.config.steal_min_victim_queue
+        return any(
+            len(n.ready) >= least for n in self.nodes if n is not nrt
+        )
+
+    def _wake_thief(self, nrt: _NodeRuntime) -> None:
+        """Unpark ``nrt``'s thief onto its grid if it could now steal."""
+        if self._can_steal(nrt):
+            self.engine.wake(self._parked.pop(nrt.rank))
+
+    def _note_ready(self, nrt: _NodeRuntime) -> None:
+        """``nrt`` gained a ready object: it may now be a steal victim."""
+        if (
+            not self._parked
+            or len(nrt.ready) < self.config.steal_min_victim_queue
+        ):
+            return
+        for rank in list(self._parked):
+            if rank != nrt.rank:
+                self._wake_thief(self.nodes[rank])
+
     def _pick_steal_candidate(
         self, thief: _NodeRuntime, victim: _NodeRuntime
     ) -> Optional[int]:
@@ -1752,16 +1798,7 @@ class MRTS:
         break ties toward the longest queue (steal the most work per
         migration), then the lowest oid (determinism).
         """
-        pf = thief.packfile
-        thief_keys = []
-        if pf is not None:
-            thief_keys = [
-                pf.locality_key(t_oid)
-                for t_oid in thief.locals
-                if thief.ooc.is_resident(t_oid)
-            ]
-        best = None
-        best_score = None
+        eligible = []
         for oid in victim.ready.snapshot():
             rec = victim.locals.get(oid)
             if rec is None or not rec.queue or rec.in_flight > 0:
@@ -1773,14 +1810,27 @@ class MRTS:
             if self.speculation is not None and \
                     self.speculation.has_pending(oid):
                 continue
+            eligible.append((oid, len(rec.queue)))
+        if not eligible:
+            return None
+        pf = thief.packfile
+        thief_keys = []
+        if pf is not None:
+            thief_keys = [
+                pf.locality_key(t_oid)
+                for t_oid in thief.locals
+                if thief.ooc.is_resident(t_oid)
+            ]
+
+        def score(item):
+            oid, depth = item
             distance = 0
-            if thief_keys and pf is not None:
+            if thief_keys:
                 key = pf.locality_key(oid)
                 distance = min(abs(key - tk) for tk in thief_keys)
-            score = (distance, -len(rec.queue), oid)
-            if best_score is None or score < best_score:
-                best, best_score = oid, score
-        return best
+            return (distance, -depth, oid)
+
+        return min(eligible, key=score)[0]
 
     def _execute_handler(self, nrt: _NodeRuntime, oid: int, rec, msg):
         """Run one message handler: compute via cores, then dispatch output."""

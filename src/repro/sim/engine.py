@@ -8,6 +8,8 @@ numpy.  It provides exactly what the cluster model needs:
 * *processes*: Python generators that ``yield`` events to wait on,
 * one-shot :class:`SimEvent` objects that carry a value when triggered,
 * :class:`Timeout` events for modeling service/latency times,
+* :class:`Ticker` events: a periodic timeout chain kept virtual until
+  someone needs its next tick,
 * :func:`all_of` / :func:`any_of` combinators.
 
 Determinism: events scheduled for the same virtual time fire in FIFO order
@@ -25,6 +27,7 @@ __all__ = [
     "Engine",
     "SimEvent",
     "Timeout",
+    "Ticker",
     "Process",
     "Interrupt",
     "all_of",
@@ -136,6 +139,33 @@ class Timeout(SimEvent):
         engine._schedule(self, delay)
 
 
+class Ticker(SimEvent):
+    """The rest of a ``timeout(period)`` chain, kept virtual until woken.
+
+    A process that loops on ``yield engine.timeout(period)`` mostly to
+    find nothing to do can yield a ticker instead (see
+    :meth:`Engine.ticker`).  The engine advances it lazily: no heap entry
+    and no event per period.  Each virtual tick still takes the next
+    tie-break number at the place the chain's timeout would have been
+    processed, so :meth:`Engine.wake` schedules the ticker at exactly the
+    time *and* the position among equal-time events that the chain's
+    next timeout would have had.
+    """
+
+    __slots__ = ("period", "at", "seq")
+
+    def __init__(self, engine: "Engine", period: float) -> None:
+        if period <= 0:
+            raise ValueError(f"ticker period must be positive: {period}")
+        super().__init__(engine)
+        self.period = period
+        # Key of the next tick, exactly as ``engine.timeout(period)``
+        # created now would be keyed.
+        self.at = engine._now + period
+        self.seq = engine._seq
+        engine._seq += 1
+
+
 class Process(SimEvent):
     """A running simulation process wrapping a generator.
 
@@ -214,6 +244,9 @@ class Engine:
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
         self._processed = 0
+        # Unwoken tickers, and the earliest time one of them ticks.
+        self._tickers: list[Ticker] = []
+        self._tick_horizon = float("inf")
 
     # -- clock --------------------------------------------------------------
     @property
@@ -236,16 +269,63 @@ class Engine:
         """Start a new process running ``body``."""
         return Process(self, body, name)
 
+    def ticker(self, period: float) -> Ticker:
+        """Start a virtual ``timeout(period)`` chain; wait on the result
+        and call :meth:`wake` to have it fire at the chain's next tick."""
+        tk = Ticker(self, period)
+        self._tickers.append(tk)
+        self._tick_horizon = min(self._tick_horizon, tk.at)
+        return tk
+
+    def wake(self, tk: Ticker) -> None:
+        """Schedule ``tk`` at the next tick of its chain."""
+        self._tickers.remove(tk)
+        self._tick_horizon = min(
+            (t.at for t in self._tickers), default=float("inf"))
+        tk._scheduled = True
+        tk._value = None
+        heapq.heappush(self._heap, (tk.at, tk.seq, tk))
+
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: SimEvent, delay: float) -> None:
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
         self._seq += 1
 
+    def _pass_ticks(self, when: float, seq: float) -> None:
+        """Advance every unwoken ticker past the key ``(when, seq)``.
+
+        Each tick skipped here stands for a timeout that, when processed,
+        would have taken the next tie-break number for the chain's next
+        timeout.  Between two real events only the order of those numbers
+        matters, so each passed ticker takes one number now, in the order
+        its last tick would have been processed (:func:`_tick_order`).
+        """
+        passed = []
+        for tk in self._tickers:
+            at = tk.at
+            if at < when or (at == when and tk.seq < seq):
+                ticks = [at]
+                at += tk.period
+                while at < when:
+                    ticks.append(at)
+                    at += tk.period
+                passed.append((ticks, tk, at))
+        if len(passed) > 1:
+            passed.sort(key=lambda p: _tick_order(p[0], p[1].seq))
+        for _, tk, at in passed:
+            tk.at = at
+            tk.seq = self._seq
+            self._seq += 1
+        self._tick_horizon = min(
+            (t.at for t in self._tickers), default=float("inf"))
+
     def step(self) -> None:
         """Process the single next event, advancing the clock."""
-        when, _, event = heapq.heappop(self._heap)
+        when, seq, event = heapq.heappop(self._heap)
         if when < self._now:
             raise AssertionError("time went backwards")
+        if when >= self._tick_horizon:
+            self._pass_ticks(when, seq)
         self._now = when
         self._processed += 1
         event._process()
@@ -271,12 +351,29 @@ class Engine:
         while self._heap and self._heap[0][0] <= limit:
             self.step()
         if until is not None:
+            # Ticks up to the limit pass, as events at it would.
+            self._pass_ticks(limit, float("inf"))
             self._now = max(self._now, limit)
         return None
 
     def peek(self) -> float:
         """Virtual time of the next scheduled event (inf if none)."""
         return self._heap[0][0] if self._heap else float("inf")
+
+
+def _tick_order(ticks: list[float], seq: int) -> tuple:
+    """Processing order of the last of ``ticks``, skipped in one gap.
+
+    The first skipped tick carries the ticker's stored number ``seq``;
+    every later one carries a number taken when its predecessor was
+    processed, inside the gap, so after every stored number.  Two last
+    ticks at one time therefore go in the order of their predecessors,
+    recursively; when one chain's ticks run out first, its tick there
+    still carries its older stored number and goes first.  Reading the
+    times backwards, ended by a ``-inf`` marker and the stored number,
+    encodes exactly that.
+    """
+    return (*reversed(ticks), float("-inf"), seq)
 
 
 def all_of(engine: Engine, events: Iterable[SimEvent]) -> SimEvent:

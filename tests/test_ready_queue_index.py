@@ -172,6 +172,11 @@ def _drive(discipline: str, use_resident: bool, use_spec: bool, ops) -> list:
                 continue
             _pop_both(indexed, oracle, qlen, res_fn, spec_fn,
                       real, spec, results)
+        # snapshot() returns the entries in dict order without sorting;
+        # that must be the FIFO (seq) order after any op sequence.
+        entries = indexed._entries
+        assert indexed.snapshot() == sorted(
+            entries, key=lambda oid: entries[oid][0])
     # Drain both to exhaustion: the full service order must agree.
     while indexed or oracle:
         _pop_both(indexed, oracle, qlen, res_fn, spec_fn, real, spec, results)

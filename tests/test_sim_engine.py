@@ -1,7 +1,9 @@
 """Tests for the discrete-event kernel: ordering, processes, combinators."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Engine, Interrupt, all_of, any_of
 
@@ -260,3 +262,118 @@ def test_nested_process_end_times(pairs):
         eng.process(body(a, b))
     eng.run()
     assert sorted(results) == sorted(a + b for a, b in starts)
+
+
+# ------------------------------------------------------------------ tickers
+# Delays drawn from a few multiples of one step, so events land on the
+# chains' tick times and ties between them are the common case.
+STEP = 1e-4
+DELAYS = st.sampled_from([0.0, STEP, 2 * STEP, 3 * STEP, 0.5 * STEP, 7 * STEP])
+
+
+def _chains_trace(use_ticker, periods, starts, script, stops):
+    """Chains of period ``periods[k]`` starting after ``starts[k]``, and a
+    script of events that each raise or clear one chain's work flag.
+
+    Each chain acts at a tick that finds its flag raised, and clears it.
+    The reference chain polls: it checks on every tick.  The other one
+    parks on a ticker while its flag is down and is woken when an event
+    raises it, as the runtime's thieves are.  Returns the order in which
+    events fired and chains acted.
+    """
+    eng = Engine()
+    trace = []
+    work = [False] * len(periods)
+    parked = [None] * len(periods)
+
+    def chain(k):
+        yield eng.timeout(starts[k])
+        while True:
+            if not use_ticker or work[k]:
+                yield eng.timeout(periods[k])
+            else:
+                parked[k] = eng.ticker(periods[k])
+                yield parked[k]
+            if work[k]:
+                work[k] = False
+                trace.append(("act", k, eng.now))
+
+    def event(i, lead, delay, target, raise_flag):
+        yield eng.timeout(lead)
+        yield eng.timeout(delay)
+        trace.append(("event", i, eng.now))
+        work[target] = raise_flag
+        if raise_flag and parked[target] is not None:
+            eng.wake(parked[target])
+            parked[target] = None
+
+    for k in range(len(periods)):
+        eng.process(chain(k))
+    for i, (lead, delay, target, raise_flag) in enumerate(script):
+        eng.process(event(i, lead, delay, target % len(periods), raise_flag))
+    for stop in stops:
+        eng.run(until=stop)
+    return trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    periods=st.lists(st.sampled_from([STEP, 2 * STEP, 3 * STEP]),
+                     min_size=1, max_size=3),
+    starts=st.lists(DELAYS, min_size=3, max_size=3),
+    script=st.lists(
+        st.tuples(DELAYS, DELAYS, st.integers(0, 2), st.booleans()),
+        max_size=25),
+    stops=st.lists(st.sampled_from([5 * STEP, 11 * STEP, 30 * STEP]),
+                   max_size=2).map(lambda s: sorted(s) + [40 * STEP]),
+)
+def test_ticker_acts_where_a_polling_timeout_chain_would(
+        periods, starts, script, stops):
+    """Same instants and same order among equal-time events as polling."""
+    want = _chains_trace(False, periods, starts, script, stops)
+    got = _chains_trace(True, periods, starts, script, stops)
+    assert got == want
+
+
+_EARLY = 0.001
+_LATE = math.nextafter(_EARLY, 1.0)  # this grid meets _EARLY's in 10 ticks
+
+
+@pytest.mark.parametrize("starts, script, order", [
+    # One grid: chain 0 acts at 0.0011 and parks again, first, so at
+    # later ticks it stays ahead of chain 1.
+    ([_EARLY, _EARLY],
+     [(0.00105, 0.0, 0, True),
+      (0.00155, 0.0, 0, True), (0.00155, 0.0, 1, True)], [0, 0, 1]),
+    # Grids one ulp apart merge at 0.002: chain 0 ticked first on the way
+    # there, so it acts first at the merged ticks.
+    ([_EARLY, _LATE],
+     [(0.00205, 0.0, 0, True), (0.00205, 0.0, 1, True)], [0, 1]),
+    # The same, after chain 0 acted and parked again later than chain 1
+    # (its stored number is the newer one).
+    ([_EARLY, _LATE],
+     [(0.00105, 0.0, 0, True),
+      (0.00205, 0.0, 0, True), (0.00205, 0.0, 1, True)], [0, 0, 1]),
+])
+def test_ticker_ties_at_equal_ticks(starts, script, order):
+    """Chains that tick at one instant act in the order polling gives."""
+    periods = [STEP, STEP]
+    want = _chains_trace(False, periods, starts, script, [0.003])
+    acts = [e for e in want if e[0] == "act"]
+    assert [e[1] for e in acts] == order and acts[-1][2] == acts[-2][2]
+    assert _chains_trace(True, periods, starts, script, [0.003]) == want
+
+
+def test_unwoken_ticker_leaves_the_heap_empty():
+    eng = Engine()
+    tk = eng.ticker(1.0)
+    eng.run(until=5.5)
+    assert not tk.triggered and eng.peek() == float("inf")
+    eng.wake(tk)
+    eng.run()
+    assert tk.processed and eng.now == 6.0
+
+
+def test_ticker_rejects_non_positive_period():
+    with pytest.raises(ValueError):
+        Engine().ticker(0.0)
